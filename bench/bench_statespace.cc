@@ -210,7 +210,7 @@ BENCHMARK(BM_GridDeadlock_ParallelSharded)
     ->Args({5, 4})
     ->UseRealTime();
 
-// Commutativity-reduced engine on the same grid (DESIGN.md §8): every
+// Commutativity-reduced engine on the same grid (DESIGN.md §1.7): every
 // grid move is on a private entity, so the persistent singleton
 // collapses (2*entities+1)^k states to the single 2*entities*k path —
 // the `states` counter is the headline, not ns/state.

@@ -41,22 +41,26 @@ struct DeadlockCheckOptions {
   /// When false, skip memoization of visited states (ablation knob for the
   /// bench suite; exponentially slower on diamond-shaped state spaces).
   bool memoize = true;
-  /// Expansion engine; kNaiveReference is the retained seed implementation
-  /// used for cross-validation and benchmarking.
+  /// Search engine (analysis/search_engine.h): the level-synchronous
+  /// skeleton on one thread (kIncremental), on `search_threads`
+  /// (kParallelSharded), or with the reduction (kReduced); or the
+  /// retained seed implementation used for cross-validation
+  /// (kNaiveReference).
   SearchEngine engine = SearchEngine::kIncremental;
-  /// Worker threads for kParallelSharded (ignored by the serial engines).
-  /// 0 = the WYDB_SEARCH_THREADS environment variable when set, else the
+  /// Worker threads for kParallelSharded and kReduced (kIncremental
+  /// always runs one; kNaiveReference is serial). 0 = the
+  /// WYDB_SEARCH_THREADS environment variable when set, else the
   /// hardware concurrency. Results are identical for every value.
   int search_threads = 0;
   /// Store memory mode (DESIGN.md §9): key encoding + spill watermark.
-  /// Non-default values require the kParallelSharded or kReduced engine
-  /// (kCompact: kParallelSharded only — reduced witness replay reads
-  /// ancestor keys, which compaction discards).
+  /// Non-default values are rejected by kNaiveReference, and kCompact
+  /// also by kReduced (its witness replay reads ancestor keys, which
+  /// compaction discards).
   StoreOptions store;
   /// Wall-clock abort point; default-constructed (epoch) = no deadline.
   /// Overruns return ResourceExhausted, like max_states. Checked every
-  /// ~2048 popped states by the serial engines and once per worker chunk
-  /// by the level-synchronous ones.
+  /// ~2048 popped states by kNaiveReference, and by the other engines
+  /// once per BFS level and once per worker chunk of 64 states.
   std::chrono::steady_clock::time_point deadline{};
 };
 
@@ -78,8 +82,10 @@ struct DeadlockReport {
   /// reached — the memory-side cost metric behind `--stats`. On a
   /// deadlock-free run this is the full reachable-state count for the
   /// exhaustive engines and the orbit-representative count under
-  /// kReduced; on witness-bearing runs it is engine-dependent (how many
-  /// children of the final level were interned before returning).
+  /// kReduced. On witness-bearing runs the level-synchronous engines
+  /// count the states through the witness's level, while
+  /// kNaiveReference also counts the children it interned before
+  /// popping the witness.
   uint64_t states_interned = 0;
   /// Expansions skipped by kReduced's persistent-move (sleep-set)
   /// pruning; 0 for the exhaustive engines.

@@ -27,30 +27,36 @@ namespace wydb {
 
 struct SafetyCheckOptions {
   uint64_t max_states = 5'000'000;  ///< 0 = unbounded.
-  /// Expansion engine; kNaiveReference is the retained seed implementation
-  /// used for cross-validation and benchmarking.
+  /// Search engine (analysis/search_engine.h): the level-synchronous
+  /// skeleton on one thread (kIncremental), on `search_threads`
+  /// (kParallelSharded), or with the reduction (kReduced); or the
+  /// retained seed implementation used for cross-validation
+  /// (kNaiveReference).
   SearchEngine engine = SearchEngine::kIncremental;
-  /// Worker threads for kParallelSharded (ignored by the serial engines).
-  /// 0 = the WYDB_SEARCH_THREADS environment variable when set, else the
+  /// Worker threads for kParallelSharded and kReduced (kIncremental
+  /// always runs one; kNaiveReference is serial). 0 = the
+  /// WYDB_SEARCH_THREADS environment variable when set, else the
   /// hardware concurrency. Results are identical for every value.
   int search_threads = 0;
   /// Store memory mode (DESIGN.md §9): key encoding + spill watermark.
-  /// Non-default values require the kParallelSharded or kReduced engine
-  /// (kCompact: kParallelSharded only — reduced witness replay reads
-  /// ancestor keys, which compaction discards).
+  /// Non-default values are rejected by kNaiveReference, and kCompact
+  /// also by kReduced (its witness replay reads ancestor keys, which
+  /// compaction discards).
   StoreOptions store;
   /// Wall-clock abort point; default-constructed (epoch) = no deadline.
   /// Overruns return ResourceExhausted, like max_states. Checked every
-  /// ~2048 popped states by the serial engines and once per BFS level by
-  /// the level-synchronous ones.
+  /// ~2048 popped states by kNaiveReference, and by the other engines
+  /// once per BFS level and once per worker chunk of 64 states.
   std::chrono::steady_clock::time_point deadline{};
   /// Incremental-recertification gate (docs/SERVE.md): when >= 0, names
   /// a transaction T such that the system minus T is already known safe
   /// and deadlock-free. Any reachable cyclic D(S') then has a step of T
   /// executed, so cycle tests are skipped (and their cost saved) for
   /// children of T-idle states reached by non-T moves. Sound ONLY under
-  /// that precondition; requires kIncremental and CheckSafeAndDeadlockFree
-  /// (rejected elsewhere). The verdict is bit-identical to a full run.
+  /// that precondition; requires CheckSafeAndDeadlockFree on kIncremental
+  /// or kParallelSharded (kReduced's orbit canonicalization can map T
+  /// onto another transaction). The verdict is bit-identical to a full
+  /// run.
   int delta_txn = -1;
 };
 
@@ -68,9 +74,11 @@ struct SafetyReport {
   uint64_t states_visited = 0;
   /// Distinct (state, arc-set) pairs held by the search store when the
   /// verdict was reached (orbit representatives only under kReduced) —
-  /// the memory-side cost metric behind `--stats`. Exact across engines
-  /// only when the property holds; on violation runs it depends on how
-  /// many children of the final level each engine interned first.
+  /// the memory-side cost metric behind `--stats`. Equal across the
+  /// exhaustive engines when the property holds. On violation runs the
+  /// level-synchronous engines count the states through the violation's
+  /// level, while kNaiveReference also counts the children it interned
+  /// before popping the violation.
   uint64_t states_interned = 0;
   /// Expansions skipped by kReduced's persistent-move (sleep-set)
   /// pruning; 0 for the exhaustive engines.

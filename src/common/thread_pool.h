@@ -1,5 +1,5 @@
 // A small persistent thread pool with work-stealing chunk scheduling,
-// built for the level-synchronous parallel searches (DESIGN.md §7).
+// built for the level-synchronous parallel searches (DESIGN.md §1).
 //
 // ParallelFor partitions [0, count) into fixed-size chunks. Chunk ranges
 // are deterministic — chunk c always covers [c*chunk, min((c+1)*chunk,

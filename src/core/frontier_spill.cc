@@ -7,22 +7,23 @@
 namespace wydb {
 
 namespace {
-// Chunks staged between watermark checks (and per read-back batch): with
-// the engines' 64-state chunks this is 4096 states of staging in RAM at
-// a time once a level starts spilling.
-constexpr size_t kSpillWindowChunks = 64;
+// Chunks per window and worker: with the search's 64-state chunks, 1024
+// states of staging in RAM per worker at a time — committed at once
+// without a budget, spilled once a level exceeds one. Sixteen chunks per
+// worker leave work stealing room to balance skewed chunks.
+constexpr size_t kWindowChunksPerWorker = 16;
 }  // namespace
 
 FrontierStager::FrontierStager(ShardedStateStore* store, ThreadPool* pool,
                                uint64_t mem_budget_bytes,
-                               size_t chunk_states)
+                               size_t chunk_states, bool dedupe)
     : store_(store),
       pool_(pool),
       budget_bytes_(mem_budget_bytes),
       chunk_states_(chunk_states),
-      window_states_(mem_budget_bytes == 0
-                         ? static_cast<size_t>(-1)
-                         : kSpillWindowChunks * chunk_states) {}
+      window_chunks_(kWindowChunksPerWorker * pool->threads()),
+      window_states_(window_chunks_ * chunk_states),
+      dedupe_(dedupe) {}
 
 FrontierStager::~FrontierStager() {
   if (file_ != nullptr) std::fclose(file_);
@@ -42,11 +43,18 @@ ShardedStateStore::Staging* FrontierStager::PrepareWindow(size_t states) {
 }
 
 bool FrontierStager::EndWindow() {
+  if (budget_bytes_ == 0) {
+    // Committing now instead of at the end of the level is id-identical
+    // (commits compose) and keeps staging to one window.
+    store_->CommitStaged(&chunks_, chunks_used_, pool_, dedupe_);
+    chunks_used_ = 0;
+    window_first_ = 0;
+    return true;
+  }
   for (size_t c = window_first_; c < chunks_used_; ++c) {
     retained_bytes_ += store_->StagingBytes(chunks_[c]);
   }
   window_first_ = chunks_used_;
-  if (budget_bytes_ == 0) return true;
   if (spilling_ ||
       store_->MemoryBytes() + retained_bytes_ > budget_bytes_) {
     return SpillRetained();
@@ -70,8 +78,7 @@ bool FrontierStager::SpillRetained() {
   return true;
 }
 
-bool FrontierStager::Commit(bool dedupe, size_t* fresh) {
-  *fresh = 0;
+bool FrontierStager::Commit() {
   if (spilled_chunks_ > 0) {
     // A spilling level spills every window, so nothing is retained in
     // RAM here and the file holds the whole level in chunk order.
@@ -82,12 +89,12 @@ bool FrontierStager::Commit(bool dedupe, size_t* fresh) {
     }
     size_t remaining = spilled_chunks_;
     while (remaining > 0) {
-      const size_t n = std::min(kSpillWindowChunks, remaining);
+      const size_t n = std::min(window_chunks_, remaining);
       if (chunks_.size() < n) chunks_.resize(n);
       for (size_t c = 0; c < n; ++c) {
         if (!store_->ReadStaging(file_, &chunks_[c])) return false;
       }
-      *fresh += store_->CommitStaged(&chunks_, n, pool_, dedupe);
+      store_->CommitStaged(&chunks_, n, pool_, dedupe_);
       remaining -= n;
     }
     // Rewind for the next level; later writes overwrite in place.
@@ -96,7 +103,7 @@ bool FrontierStager::Commit(bool dedupe, size_t* fresh) {
     spilled_chunks_ = 0;
     spilling_ = false;
   } else if (chunks_used_ > 0) {
-    *fresh = store_->CommitStaged(&chunks_, chunks_used_, pool_, dedupe);
+    store_->CommitStaged(&chunks_, chunks_used_, pool_, dedupe_);
   }
   chunks_used_ = 0;
   window_first_ = 0;

@@ -16,8 +16,8 @@
 // never spilled. BFS depth becomes disk-bound; RAM holds the store plus
 // one window.
 //
-// With a zero budget the stager degrades to exactly the old code path:
-// one window spanning the whole level, no file, a single CommitStaged.
+// With a zero budget no window is retained: each one is committed as
+// soon as it is staged, so staging never holds more than one window.
 #ifndef WYDB_CORE_FRONTIER_SPILL_H_
 #define WYDB_CORE_FRONTIER_SPILL_H_
 
@@ -34,11 +34,13 @@ class ThreadPool;
 
 class FrontierStager {
  public:
-  /// `mem_budget_bytes` == 0 disables spilling (whole-level windows).
-  /// `chunk_states` is the engine's ParallelFor chunk size; staged chunk
-  /// c of a window covers states [c*chunk_states, ...) of that window.
+  /// `mem_budget_bytes` == 0 disables spilling (each window is committed
+  /// by EndWindow). `chunk_states` is the engine's ParallelFor chunk size;
+  /// staged chunk c of a window covers states [c*chunk_states, ...) of
+  /// that window. `dedupe` is passed to every CommitStaged.
   FrontierStager(ShardedStateStore* store, ThreadPool* pool,
-                 uint64_t mem_budget_bytes, size_t chunk_states);
+                 uint64_t mem_budget_bytes, size_t chunk_states,
+                 bool dedupe);
   ~FrontierStager();
 
   FrontierStager(const FrontierStager&) = delete;
@@ -53,18 +55,18 @@ class FrontierStager {
   /// vector. Pointers stay valid until EndWindow/Commit.
   ShardedStateStore::Staging* PrepareWindow(size_t states);
 
-  /// Ends the current window: accounts its bytes and spills every
-  /// retained chunk when `store bytes + retained staging bytes` exceed
-  /// the budget. Once a level spills, every later window of that level
+  /// Ends the current window. Without a budget it commits the window.
+  /// With one it accounts the window's bytes and spills every retained
+  /// chunk when `store bytes + retained staging bytes` exceed the
+  /// budget; once a level spills, every later window of that level
   /// spills too, keeping the file in global chunk order. Returns false
   /// on I/O failure.
   bool EndWindow();
 
-  /// Commits the whole level: spilled chunks first (read back in file
-  /// order, committed in bounded batches), then the retained ones.
-  /// Resets the stager for the next level. `*fresh` gets the number of
-  /// freshly interned states. Returns false on I/O failure.
-  bool Commit(bool dedupe, size_t* fresh);
+  /// Commits the rest of the level: spilled chunks first (read back in
+  /// file order, committed in bounded batches), then the retained ones.
+  /// Resets the stager for the next level. Returns false on I/O failure.
+  bool Commit();
 
   /// Levels whose staging hit the spill file (the --stats counter).
   uint64_t spilled_levels() const { return spilled_levels_; }
@@ -76,7 +78,9 @@ class FrontierStager {
   ThreadPool* const pool_;
   const uint64_t budget_bytes_;
   const size_t chunk_states_;
+  const size_t window_chunks_;
   const size_t window_states_;
+  const bool dedupe_;
 
   /// Retained (not yet spilled) chunks of the current level, in global
   /// chunk order; the window under construction is its tail. Buffers are

@@ -140,7 +140,7 @@ class StateSpace {
   void ExpandInto(const uint64_t* aux, std::vector<GlobalNode>* moves) const;
 
   /// Commutativity-reduced expansion (the sleep-set / persistent-move
-  /// half of SearchEngine::kReduced, DESIGN.md §8.1 and §11). A legal
+  /// half of SearchEngine::kReduced, DESIGN.md §1.7 and §11). A legal
   /// move is *invisible* when every other accessor of its entity whose
   /// lock mode CONFLICTS with the move's mode has already executed its
   /// Unlock of that entity: no future step of any other transaction can

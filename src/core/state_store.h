@@ -22,7 +22,7 @@
 // aborts on dereference once the arena generation has moved (DESIGN.md
 // §9.4) — in release builds the wrapper compiles away to a raw pointer.
 //
-// ShardedStateStore is the multi-core variant (DESIGN.md §7): the intern
+// ShardedStateStore is the multi-core variant (DESIGN.md §1): the intern
 // table is split by key-hash into power-of-two shards, each with its own
 // arenas and probe table, and deduplication of a whole BFS level runs as
 // one batched commit — stage children in parent order, dedup every shard
@@ -134,7 +134,7 @@ using MutableArenaPtr = uint64_t*;
 #endif
 
 /// \brief Optional canonical-key hook (the symmetry half of
-/// SearchEngine::kReduced, DESIGN.md §8.2).
+/// SearchEngine::kReduced, DESIGN.md §1.8).
 ///
 /// Canonicalize rewrites a (key, aux) pair in place to the canonical
 /// representative of its symmetry class — e.g. OrbitCanonicalizer

@@ -1,5 +1,5 @@
 // Transaction-symmetry machinery for the reduced search engine
-// (SearchEngine::kReduced, DESIGN.md §8.2).
+// (SearchEngine::kReduced, DESIGN.md §1.8).
 //
 // Generator-produced systems (farms, replicated farms, rings of identical
 // templates) are full of *structurally identical* transactions: same
@@ -23,7 +23,7 @@
 // engines can reconstruct a *concrete* witness schedule from a stored
 // path of representatives: replaying the path while composing the
 // per-step sort permutations yields a legal schedule of the original,
-// unpermuted system (DESIGN.md §8.3).
+// unpermuted system (DESIGN.md §1.9).
 #ifndef WYDB_CORE_SYMMETRY_H_
 #define WYDB_CORE_SYMMETRY_H_
 
@@ -73,7 +73,7 @@ class TransactionOrbits {
 /// from the key (stable sort of each orbit's exec blocks by content), so
 /// the rewritten state is always equivalent to the input — merging is
 /// sound even when exec-block ties leave the arc matrix unsorted (the
-/// quotient is then merely coarser than optimal; see DESIGN.md §8.2).
+/// quotient is then merely coarser than optimal; see DESIGN.md §1.8).
 class OrbitCanonicalizer : public KeyCanonicalizer {
  public:
   /// `arc_row_words` > 0 selects the Lemma key layout. `space` and
@@ -108,7 +108,7 @@ class OrbitCanonicalizer : public KeyCanonicalizer {
 };
 
 /// \brief Rebuilds a concrete move sequence from a reduced search's
-/// stored path of orbit representatives (DESIGN.md §8.3).
+/// stored path of orbit representatives (DESIGN.md §1.9).
 ///
 /// Parent links of a canonicalizing store record each move in its
 /// parent *representative's* coordinates. This walks root -> `id` and,

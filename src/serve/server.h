@@ -37,14 +37,15 @@ struct ServerOptions {
   int timeout_ms = 0;
   /// Verdict-cache capacity, in systems.
   int cache_entries = 128;
-  /// Engine for full certifications (incremental recertification always
-  /// uses kIncremental, where the delta gate lives).
+  /// Engine for full certifications. Incremental recertification always
+  /// runs the delta gate on kIncremental: one thread per session, and
+  /// kReduced's orbit canonicalization would break the gate.
   SearchEngine engine = SearchEngine::kIncremental;
   int search_threads = 0;
-  /// Store memory mode for full runs on the sharded engines (DESIGN.md
-  /// §9). kCompact is rejected at startup: compacted verdicts are not
-  /// exact, and a serving cache must never launder a probabilistic
-  /// refutation into a certificate.
+  /// Store memory mode for every search (DESIGN.md §9); kNaiveReference
+  /// rejects non-default modes. kCompact is rejected at startup:
+  /// compacted verdicts are not exact, and a serving cache must never
+  /// launder a probabilistic refutation into a certificate.
   StoreOptions store;
   /// Verdict-journal path ("" = no persistence). Freshly computed
   /// verdicts are appended; at startup the journal's salvageable prefix

@@ -2,6 +2,9 @@
 // equivalence of its two detection modes.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <string>
+
 #include "analysis/deadlock_checker.h"
 #include "core/reduction_graph.h"
 #include "gen/system_gen.h"
@@ -208,6 +211,87 @@ TEST(DeadlockCheckerProperty, WitnessesAreRealDeadlocks) {
     ASSERT_TRUE(completion.ok());
     EXPECT_FALSE(completion->has_value()) << "seed " << seed;
   }
+}
+
+
+// ---------------------------------------------------------------------
+// Per-request deadlines: both detection modes share the search
+// skeleton's one deadline path with the safety checker.
+
+constexpr SearchEngine kAllEngines[] = {
+    SearchEngine::kNaiveReference, SearchEngine::kIncremental,
+    SearchEngine::kParallelSharded, SearchEngine::kReduced};
+constexpr DeadlockDetectionMode kBothModes[] = {
+    DeadlockDetectionMode::kStuckState,
+    DeadlockDetectionMode::kReductionGraph};
+
+TEST(DeadlockCheckerTest, ExpiredDeadlineIsResourceExhausted) {
+  auto db = MakeDb({{"s1", {"x"}}, {"s2", {"y"}}});
+  TransactionSystem sys = ClassicDeadlockPair(db.get());
+  for (SearchEngine engine : kAllEngines) {
+    for (DeadlockDetectionMode mode : kBothModes) {
+      DeadlockCheckOptions opts;
+      opts.engine = engine;
+      opts.mode = mode;
+      opts.deadline =
+          std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
+      auto report = CheckDeadlockFreedom(sys, opts);
+      ASSERT_FALSE(report.ok());
+      EXPECT_EQ(report.status().code(), StatusCode::kResourceExhausted);
+      EXPECT_NE(report.status().message().find("deadline"),
+                std::string::npos)
+          << report.status().ToString();
+    }
+  }
+}
+
+TEST(DeadlockCheckerTest, GenerousDeadlineDoesNotChangeTheVerdict) {
+  auto db = MakeDb({{"s1", {"x"}}, {"s2", {"y"}}});
+  TransactionSystem sys = ClassicDeadlockPair(db.get());
+  for (SearchEngine engine : kAllEngines) {
+    for (DeadlockDetectionMode mode : kBothModes) {
+      DeadlockCheckOptions opts;
+      opts.engine = engine;
+      opts.mode = mode;
+      auto without = CheckDeadlockFreedom(sys, opts);
+      opts.deadline = std::chrono::steady_clock::now() + std::chrono::hours(1);
+      auto with = CheckDeadlockFreedom(sys, opts);
+      ASSERT_TRUE(with.ok());
+      ASSERT_TRUE(without.ok());
+      EXPECT_EQ(with->deadlock_free, without->deadlock_free);
+      EXPECT_EQ(with->states_visited, without->states_visited);
+      // The poll counter is the evidence the budget was live.
+      EXPECT_GT(with->deadline_polls, 0u);
+      EXPECT_EQ(without->deadline_polls, 0u);
+    }
+  }
+}
+
+/// On a deadlock-free state space far too large to exhaust, the parallel
+/// engine must answer ResourceExhausted within 2x the wall-clock budget:
+/// workers poll within a level, so one long level cannot outrun it.
+TEST(DeadlockCheckerTest, ParallelEngineAnswersWithinTwiceTheBudget) {
+  // Twelve transactions on disjoint entities: no witness to stop at, and
+  // 5^12 reachable states.
+  auto grid = GenerateDisjointGridSystem(12, 2);
+  ASSERT_TRUE(grid.ok());
+  DeadlockCheckOptions opts;
+  opts.engine = SearchEngine::kParallelSharded;
+  // The costlier per-state predicate keeps the half-second's store small.
+  opts.mode = DeadlockDetectionMode::kReductionGraph;
+  opts.max_states = 0;  // The deadline is the only bound.
+  const auto budget = std::chrono::milliseconds(500);
+  const auto start = std::chrono::steady_clock::now();
+  opts.deadline = start + budget;
+  auto report = CheckDeadlockFreedom(*grid->system, opts);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(report.status().message().find("deadline"), std::string::npos);
+  EXPECT_LT(elapsed, 2 * budget)
+      << std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
+             .count()
+      << " ms";
 }
 
 }  // namespace

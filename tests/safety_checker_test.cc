@@ -230,13 +230,22 @@ TEST(SafetyCheckerTest, DeltaTxnOptionIsValidated) {
   EXPECT_EQ(CheckSafeAndDeadlockFree(sys, opts).status().code(),
             StatusCode::kInvalidArgument);
 
+  // Orbit canonicalization can map the delta transaction onto another
+  // one, so the reduced engine refuses the gate; so does the reference
+  // oracle, which has none.
   opts.delta_txn = 1;
-  opts.engine = SearchEngine::kReduced;  // Gate lives on kIncremental.
-  auto wrong_engine = CheckSafeAndDeadlockFree(sys, opts);
-  ASSERT_FALSE(wrong_engine.ok());
-  EXPECT_NE(wrong_engine.status().message().find("incremental engine"),
+  opts.engine = SearchEngine::kReduced;
+  auto reduced = CheckSafeAndDeadlockFree(sys, opts);
+  ASSERT_FALSE(reduced.ok());
+  EXPECT_EQ(reduced.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(reduced.status().message().find("orbit canonicalization"),
             std::string::npos)
-      << wrong_engine.status().ToString();
+      << reduced.status().ToString();
+  opts.engine = SearchEngine::kNaiveReference;
+  EXPECT_EQ(CheckSafeAndDeadlockFree(sys, opts).status().code(),
+            StatusCode::kInvalidArgument);
+  opts.engine = SearchEngine::kParallelSharded;
+  EXPECT_TRUE(CheckSafeAndDeadlockFree(sys, opts).ok());
 
   // The gate's soundness argument is specific to safe+DF; plain safety
   // (complete schedules) rejects it.
@@ -312,6 +321,27 @@ TEST(SafetyCheckerProperty, DeltaGateMatchesFullRunOnCertifiedBases) {
     EXPECT_EQ(full->delta_skipped_tests, 0u);
     total_skipped += fast->delta_skipped_tests;
     ++exercised;
+
+    // The gate lives in the search skeleton, so the parallel engine runs
+    // it too, with the same result at every thread count. Every level
+    // the search expands is expanded whole, so even the skip count
+    // matches kIncremental's.
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " threads "
+                                      << threads);
+      SafetyCheckOptions opts = gated;
+      opts.engine = SearchEngine::kParallelSharded;
+      opts.search_threads = threads;
+      auto par = CheckSafeAndDeadlockFree(*sys, opts);
+      ASSERT_TRUE(par.ok()) << par.status().ToString();
+      EXPECT_EQ(par->holds, full->holds);
+      EXPECT_EQ(par->states_visited, full->states_visited);
+      ASSERT_EQ(par->violation.has_value(), full->violation.has_value());
+      if (par->violation.has_value()) {
+        EXPECT_EQ(par->violation->schedule, full->violation->schedule);
+      }
+      EXPECT_EQ(par->delta_skipped_tests, fast->delta_skipped_tests);
+    }
   }
   EXPECT_GT(exercised, 20);     // The remap filter leaves real coverage.
   EXPECT_GT(total_skipped, 0u);  // The gate actually fires.

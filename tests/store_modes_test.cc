@@ -203,6 +203,7 @@ struct ModeCase {
   const char* label;
   StoreOptions store;
   int threads;
+  SearchEngine engine = SearchEngine::kParallelSharded;
 };
 
 std::vector<ModeCase> BitIdenticalModes() {
@@ -216,6 +217,11 @@ std::vector<ModeCase> BitIdenticalModes() {
          o.mem_budget_mb = 1;
          return o;
        }(), 2},
+      // kIncremental is the same search at one thread, whatever
+      // search_threads says.
+      {"delta/incremental", DeltaOptions(), 4, SearchEngine::kIncremental},
+      {"delta+spill/incremental", DeltaOptions(/*budget_mb=*/1), 4,
+       SearchEngine::kIncremental},
   };
 }
 
@@ -248,6 +254,7 @@ TEST(StoreModeCrossval, DeadlockAndSafetyBitIdenticalToPlain) {
       SCOPED_TRACE(testing::Message() << "seed " << seed << " mode "
                                       << mode.label);
       DeadlockCheckOptions dopt = dref;
+      dopt.engine = mode.engine;
       dopt.store = mode.store;
       dopt.search_threads = mode.threads;
       auto da = CheckDeadlockFreedom(s, dopt);
@@ -263,6 +270,7 @@ TEST(StoreModeCrossval, DeadlockAndSafetyBitIdenticalToPlain) {
       }
 
       SafetyCheckOptions sopt = sref;
+      sopt.engine = mode.engine;
       sopt.store = mode.store;
       sopt.search_threads = mode.threads;
       auto sa = CheckSafeAndDeadlockFree(s, sopt);
@@ -444,24 +452,29 @@ TEST(CompactModeTest, SafetyCheckerAgreesAndMarksNonExact) {
 TEST(StoreModeValidation, SerialEnginesRejectMemoryModes) {
   auto ring = GenerateRingSystem(3);
   ASSERT_TRUE(ring.ok());
-  for (auto engine :
-       {SearchEngine::kIncremental, SearchEngine::kNaiveReference}) {
-    DeadlockCheckOptions d;
-    d.engine = engine;
-    d.store = DeltaOptions();
-    EXPECT_EQ(CheckDeadlockFreedom(*ring->system, d).status().code(),
-              StatusCode::kInvalidArgument);
-    DeadlockCheckOptions b;
-    b.engine = engine;
-    b.store.mem_budget_mb = 64;
-    EXPECT_EQ(CheckDeadlockFreedom(*ring->system, b).status().code(),
-              StatusCode::kInvalidArgument);
-    SafetyCheckOptions s;
-    s.engine = engine;
-    s.store = DeltaOptions();
-    EXPECT_EQ(CheckSafety(*ring->system, s).status().code(),
-              StatusCode::kInvalidArgument);
-  }
+  DeadlockCheckOptions d;
+  d.engine = SearchEngine::kNaiveReference;
+  d.store = DeltaOptions();
+  EXPECT_EQ(CheckDeadlockFreedom(*ring->system, d).status().code(),
+            StatusCode::kInvalidArgument);
+  DeadlockCheckOptions b;
+  b.engine = SearchEngine::kNaiveReference;
+  b.store.mem_budget_mb = 64;
+  EXPECT_EQ(CheckDeadlockFreedom(*ring->system, b).status().code(),
+            StatusCode::kInvalidArgument);
+  SafetyCheckOptions s;
+  s.engine = SearchEngine::kNaiveReference;
+  s.store = DeltaOptions();
+  EXPECT_EQ(CheckSafety(*ring->system, s).status().code(),
+            StatusCode::kInvalidArgument);
+  // kIncremental runs the sharded search at one thread, so it accepts
+  // them; StoreModeCrossval checks its results against the plain store.
+  d.engine = SearchEngine::kIncremental;
+  EXPECT_TRUE(CheckDeadlockFreedom(*ring->system, d).ok());
+  b.engine = SearchEngine::kIncremental;
+  EXPECT_TRUE(CheckDeadlockFreedom(*ring->system, b).ok());
+  s.engine = SearchEngine::kIncremental;
+  EXPECT_TRUE(CheckSafety(*ring->system, s).ok());
 }
 
 TEST(StoreModeValidation, ReducedEngineRejectsCompaction) {

@@ -1,4 +1,4 @@
-// Unit tests for the reduced search engine's two layers (DESIGN.md §8):
+// Unit tests for the reduced search engine's two layers (DESIGN.md §1.7):
 // transaction orbits + orbit canonicalization (core/symmetry), the
 // persistent-move pruning of StateSpace::ExpandReducedInto, the
 // canonical-key store hooks, and the end-to-end state-count wins of
@@ -156,7 +156,7 @@ TEST(OrbitCanonicalizerTest, ExecTiesStayUnsortedButSound) {
   // stable sort keys on exec content only, so these images need not
   // merge — but each canonicalization must still be a valid automorphic
   // image (idempotent, same block multiset). Coarser, never wrong
-  // (DESIGN.md §8.2).
+  // (DESIGN.md §1.8).
   OwnedSystem farm = CertifiedFarm(3);
   StateSpace space(farm.system.get());
   TransactionOrbits orbits(*farm.system);

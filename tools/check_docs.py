@@ -203,7 +203,9 @@ def check_cli_smoke(binary: Path) -> list[str]:
         ([str(sample), "--store-encoding", "compact"], 2,
          "--allow-compaction", None),
         ([str(sample), "--store-encoding", "delta", "--engine",
-          "incremental"], 2, "parallel or reduced", None),
+          "reference"], 2, "--engine reference", None),
+        ([str(sample), "--store-encoding", "delta", "--engine",
+          "incremental", "--stats"], 1, None, (STATS_LINE_RE, 2)),
         ([str(sample), "--store-encoding", "compact", "--allow-compaction",
           "--engine", "reduced"], 2, "parallel engine", None),
         ([str(sample), "--store-encoding", "delta", "--stats"], 1, None,

@@ -46,18 +46,19 @@ Usage:
 Analysis options:
   --pairs            also print the per-pair Theorem 3 verdicts
   --exact            also run the exact (exponential) checkers
-  --engine <e>       exact-checker engine: incremental (default),
-                     reference (the naive seed implementation), parallel
-                     (sharded level-synchronous BFS), or reduced
-                     (commutativity pruning + transaction-symmetry
-                     canonicalization; verdict-equivalent, visits far
-                     fewer states on symmetric workloads); implies
-                     --exact and composes with --search-threads
+  --engine <e>       exact-checker engine: incremental (default; the
+                     level-synchronous search on one thread), reference
+                     (the naive seed implementation), parallel (the
+                     same search on --search-threads workers), or
+                     reduced (commutativity pruning + transaction-
+                     symmetry canonicalization; verdict-equivalent,
+                     visits far fewer states on symmetric workloads);
+                     implies --exact and composes with --search-threads
   --search-threads <k>  worker threads for the parallel and reduced
                      engines (0 = hardware concurrency); without
                      --engine this selects the parallel engine, whose
                      verdicts, witnesses, and state counts are
-                     bit-identical to the serial engine; implies --exact
+                     bit-identical to the one-thread run; implies --exact
   --stats            print a per-check stats line (states interned,
                      sleep-set pruned expansions, symmetry orbits,
                      store bytes/state, arena and probe-table bytes,
@@ -69,8 +70,8 @@ Analysis options:
                      smaller), or compact (64-bit fingerprints instead
                      of full keys; probabilistic, needs
                      --allow-compaction); implies --exact and selects
-                     the parallel engine unless --engine picked
-                     parallel or reduced (compact: parallel only)
+                     the parallel engine unless --engine picked one
+                     (not reference; compact: parallel only)
   --mem-budget-mb <m>  spill staged search frontiers to a temporary
                      file whenever the store plus staging exceed <m>
                      MiB, bounding BFS memory by disk instead of RAM
@@ -885,9 +886,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  // The memory modes live on the sharded substrate (DESIGN.md §9): pick
-  // the parallel engine unless one was chosen explicitly, and reject the
-  // serial engines (and compact under reduced, whose witness replay
+  // The memory modes live on the sharded store (DESIGN.md §9): pick the
+  // parallel engine unless one was chosen explicitly, and reject the
+  // reference oracle (and compact under reduced, whose witness replay
   // reads ancestor keys) before any work happens.
   if (store.encoding != StoreOptions::KeyEncoding::kPlain ||
       store.mem_budget_mb > 0) {
@@ -895,11 +896,10 @@ int main(int argc, char** argv) {
       engine = SearchEngine::kParallelSharded;
       engine_set = true;
     }
-    if (engine == SearchEngine::kIncremental ||
-        engine == SearchEngine::kNaiveReference) {
+    if (engine == SearchEngine::kNaiveReference) {
       return Fail(
-          "--store-encoding / --mem-budget-mb need --engine parallel or "
-          "reduced");
+          "--store-encoding / --mem-budget-mb do not run on --engine "
+          "reference");
     }
   }
   if (store.encoding == StoreOptions::KeyEncoding::kCompact) {

@@ -69,16 +69,16 @@ Options:
                      (default 256; 0 = compact eagerly)
   --engine <e>       engine for full certifications: incremental
                      (default), reference, parallel, or reduced;
-                     incremental recertification always runs on the
-                     incremental engine, where the delta gate lives
+                     incremental recertification always runs the delta
+                     gate on the incremental engine (one thread)
   --search-threads <k>  worker threads for the parallel and reduced
                      engines (0 = hardware concurrency)
-  --store-encoding <c>  state-store key encoding for full runs on the
-                     parallel/reduced engines: plain (default) or delta;
-                     compact is refused — a verdict cache must never
-                     hold a probabilistic refutation as a certificate
+  --store-encoding <c>  state-store key encoding for every engine but
+                     reference: plain (default) or delta; compact is
+                     refused — a verdict cache must never hold a
+                     probabilistic refutation as a certificate
   --mem-budget-mb <m>  spill search frontiers to disk past <m> MiB on
-                     the parallel/reduced engines (0 = never)
+                     every engine but reference (0 = never)
   --preload <file>   certify <file> at startup and seed the cache with
                      the result (repeatable)
 
